@@ -169,6 +169,10 @@ impl Response {
     }
 
     /// Serialise and write to the stream (`Connection: close` always).
+    ///
+    /// Head and body go out in one `write_all`: two writes on a socket
+    /// without `TCP_NODELAY` is the write-write-read pattern that Nagle
+    /// plus delayed ACK can stall.
     pub fn write_to(&self, stream: &mut TcpStream) -> io::Result<()> {
         let reason = reason_phrase(self.status);
         let mut out = format!(
@@ -184,8 +188,9 @@ impl Response {
             out.push_str("\r\n");
         }
         out.push_str("\r\n");
-        stream.write_all(out.as_bytes())?;
-        stream.write_all(&self.body)?;
+        let mut out = out.into_bytes();
+        out.extend_from_slice(&self.body);
+        stream.write_all(&out)?;
         stream.flush()
     }
 }

@@ -4,10 +4,14 @@
 //! worker pool pops them. The queue never blocks the producer: a full
 //! queue rejects the push and hands the item back so the accept loop can
 //! shed it with `429 Retry-After` instead of letting an unbounded backlog
-//! turn overload into latency collapse. [`BoundedQueue::close`] flips the
-//! drain mode used during graceful shutdown: pushes are refused, pops
-//! continue until the backlog is empty, then return `None` so workers
-//! exit — in-flight work is finished, never abandoned.
+//! turn overload into latency collapse. An item an idle consumer is
+//! already waiting for does not count against the capacity: with one
+//! idle worker and one slot, two back-to-back pushes both succeed even if
+//! the worker has not yet woken to take the first.
+//! [`BoundedQueue::close`] flips the drain mode used during graceful
+//! shutdown: pushes are refused, pops continue until the backlog is
+//! empty, then return `None` so workers exit — in-flight work is
+//! finished, never abandoned.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
@@ -26,6 +30,9 @@ pub enum PushOutcome<T> {
 struct Inner<T> {
     items: VecDeque<T>,
     closed: bool,
+    /// Consumers blocked in [`BoundedQueue::pop`]; each will take one
+    /// item, so that many items are handed off rather than waiting.
+    idle: usize,
 }
 
 /// A fixed-capacity MPMC queue: non-blocking producers, blocking consumers.
@@ -36,12 +43,14 @@ pub struct BoundedQueue<T> {
 }
 
 impl<T> BoundedQueue<T> {
-    /// A queue admitting at most `capacity` waiting items.
+    /// A queue admitting at most `capacity` waiting items beyond those
+    /// handed to idle consumers.
     pub fn new(capacity: usize) -> Self {
         BoundedQueue {
             inner: Mutex::new(Inner {
                 items: VecDeque::with_capacity(capacity),
                 closed: false,
+                idle: 0,
             }),
             capacity,
             ready: Condvar::new(),
@@ -55,7 +64,7 @@ impl<T> BoundedQueue<T> {
         if inner.closed {
             return PushOutcome::Closed(item);
         }
-        if inner.items.len() >= self.capacity {
+        if inner.items.len() >= self.capacity + inner.idle {
             return PushOutcome::Full(item);
         }
         inner.items.push_back(item);
@@ -75,7 +84,9 @@ impl<T> BoundedQueue<T> {
             if inner.closed {
                 return None;
             }
+            inner.idle += 1;
             inner = self.ready.wait(inner).expect("queue poisoned");
+            inner.idle -= 1;
         }
     }
 
@@ -109,6 +120,25 @@ mod tests {
         assert_eq!(q.try_push(3), PushOutcome::Full(3));
         assert_eq!(q.pop(), Some(1));
         assert_eq!(q.try_push(3), PushOutcome::Queued);
+    }
+
+    #[test]
+    fn an_idle_consumer_takes_a_push_beyond_the_capacity() {
+        let q = Arc::new(BoundedQueue::new(1));
+        let consumer = {
+            let q = Arc::clone(&q);
+            std::thread::spawn(move || q.pop())
+        };
+        while q.inner.lock().unwrap().idle == 0 {
+            std::thread::yield_now();
+        }
+        // Whether or not the consumer has woken for the first item yet,
+        // it and the one slot take two items and no more.
+        assert_eq!(q.try_push(1), PushOutcome::Queued);
+        assert_eq!(q.try_push(2), PushOutcome::Queued);
+        assert_eq!(q.try_push(3), PushOutcome::Full(3));
+        assert_eq!(consumer.join().unwrap(), Some(1));
+        assert_eq!(q.pop(), Some(2));
     }
 
     #[test]

@@ -10,6 +10,15 @@
 //! drain that finishes every accepted in-flight request before
 //! [`ServerHandle::join`] returns.
 //!
+//! ## Accept model
+//!
+//! The accept thread blocks in `accept()`, so a connection is seen the
+//! moment it lands in the backlog. Shutdown sets a flag and then opens
+//! one loopback connection to the listener to wake the blocked call; the
+//! loop checks the flag after every `accept()` returns and drops that
+//! stream uncounted, so the wake connection (like any connection that
+//! arrives after shutdown) is never accepted, counted, traced or logged.
+//!
 //! ## Endpoints
 //!
 //! | Route | Semantics |
@@ -42,8 +51,7 @@ use crate::config::ServeConfig;
 use crate::http::{read_request, Request, Response};
 use crate::queue::{BoundedQueue, PushOutcome};
 use crate::telemetry::{route_label, Telemetry};
-use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -57,8 +65,13 @@ use wavm3_obs::slo::{DriftState, SloReport};
 
 /// Per-connection I/O timeout (keeps a wedged peer from pinning a worker).
 const IO_TIMEOUT: Duration = Duration::from_secs(5);
-/// Accept-loop poll interval while the listener is idle.
-const ACCEPT_POLL: Duration = Duration::from_millis(2);
+/// Back-off after a failed `accept()` (e.g. EMFILE), so a persistent
+/// error cannot spin the accept thread.
+const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(10);
+/// Connect timeout for the shutdown wake connection. Loopback connects
+/// only wait when the backlog is full, and then the accept thread is busy
+/// and returns to the flag check on its own.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
 /// How long the accept thread will wait to drain a shed request before
 /// answering 429 (kept short so slow peers cannot stall admission).
 const SHED_DRAIN_TIMEOUT: Duration = Duration::from_millis(500);
@@ -245,12 +258,17 @@ impl ServerHandle {
     /// queued and in-flight requests keep draining.
     pub fn shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
+        // Wake the accept thread out of its blocking `accept()`; the loop
+        // sees the flag and drops this connection uncounted. A failed
+        // connect is harmless: it only fails when the accept thread is
+        // already past its flag check or busy with a full backlog.
+        let _ = TcpStream::connect_timeout(&wake_addr(self.addr), WAKE_TIMEOUT);
     }
 
     /// Graceful drain: stop accepting, finish every queued and in-flight
     /// request, then return the accounting.
     pub fn join(self) -> DrainReport {
-        self.shutdown.store(true, Ordering::SeqCst);
+        self.shutdown();
         let stats = self.accept_thread.join().expect("accept thread panicked");
         for worker in self.workers {
             worker.join().expect("worker panicked");
@@ -291,9 +309,6 @@ pub fn start(cfg: ServeConfig) -> Result<ServerHandle, Wavm3Error> {
     let addr = listener
         .local_addr()
         .expect("bound listener has an address");
-    listener
-        .set_nonblocking(true)
-        .expect("nonblocking accept is supported");
 
     let telemetry = Telemetry::new(&cfg.obs)?;
     let shared = Arc::new(Shared {
@@ -400,6 +415,18 @@ fn reference_request(kind: MigrationKind) -> ApiRequest {
     }
 }
 
+/// Where the shutdown wake connection goes: the listener's own address,
+/// with an unspecified bind (`0.0.0.0`, `::`) mapped to the loopback
+/// address of the same family.
+fn wake_addr(mut addr: SocketAddr) -> SocketAddr {
+    match addr.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => addr.set_ip(Ipv4Addr::LOCALHOST.into()),
+        IpAddr::V6(ip) if ip.is_unspecified() => addr.set_ip(Ipv6Addr::LOCALHOST.into()),
+        _ => {}
+    }
+    addr
+}
+
 fn accept_loop(
     listener: TcpListener,
     queue: Arc<BoundedQueue<Job>>,
@@ -413,8 +440,14 @@ fn accept_loop(
     // The accept thread owns its own trace shard — shed requests are
     // traced too (they are exactly the errors tail sampling must keep).
     let sink = shared.telemetry.register_sink();
-    while !shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        // Checked after every return, so the shutdown wake connection (and
+        // anything else that arrives after shutdown) is dropped uncounted.
+        if shutdown.load(Ordering::SeqCst) {
+            break;
+        }
+        match accepted {
             Ok((stream, _)) => {
                 stats.accepted += 1;
                 let job = Job {
@@ -429,12 +462,9 @@ fn accept_loop(
                     }
                 }
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(ACCEPT_POLL);
-            }
-            // Transient accept errors (e.g. a peer resetting between
-            // SYN and accept) are not fatal to the server.
-            Err(_) => std::thread::sleep(ACCEPT_POLL),
+            // Accept errors (a peer resetting between SYN and accept,
+            // EMFILE) are not fatal to the server.
+            Err(_) => std::thread::sleep(ACCEPT_ERROR_BACKOFF),
         }
     }
     // Stop admitting; workers drain whatever is already queued.
@@ -862,4 +892,25 @@ fn render(
         })
     };
     Response::json(200, body.expect("response serialises"))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::wake_addr;
+    use std::net::SocketAddr;
+
+    #[test]
+    fn wake_addr_maps_unspecified_binds_to_loopback_of_the_same_family() {
+        let cases = [
+            ("0.0.0.0:7878", "127.0.0.1:7878"),
+            ("[::]:7878", "[::1]:7878"),
+            ("127.0.0.1:7878", "127.0.0.1:7878"),
+            ("10.1.2.3:80", "10.1.2.3:80"),
+            ("[::1]:9000", "[::1]:9000"),
+        ];
+        for (bound, wake) in cases {
+            let bound: SocketAddr = bound.parse().unwrap();
+            assert_eq!(wake_addr(bound), wake.parse().unwrap(), "{bound}");
+        }
+    }
 }

@@ -2,10 +2,12 @@
 //! failure mode driven deterministically through the seeded chaos
 //! middleware and asserted from the client side.
 
-use std::net::TcpStream;
-use std::time::Duration;
+use std::io::Read;
+use std::net::{SocketAddr, TcpStream};
+use std::time::{Duration, Instant};
+use wavm3_obs::reqtrace::TailSampler;
 use wavm3_serve::http::{roundtrip, ClientResponse};
-use wavm3_serve::{BreakerConfig, ChaosConfig, ServeConfig, ServerHandle};
+use wavm3_serve::{BreakerConfig, ChaosConfig, DrainReport, ObsOptions, ServeConfig, ServerHandle};
 
 fn connect(handle: &ServerHandle) -> TcpStream {
     let stream = TcpStream::connect(handle.local_addr()).expect("connect");
@@ -324,4 +326,210 @@ fn graceful_drain_finishes_every_accepted_request() {
             response.status
         );
     }
+}
+
+/// Chaos that holds every request in a worker for `ms` milliseconds.
+fn fixed_latency(seed: u64, ms: u64) -> ChaosConfig {
+    ChaosConfig {
+        seed,
+        latency_probability: 1.0,
+        min_latency_ms: ms,
+        max_latency_ms: ms,
+        error_probability: 0.0,
+        drop_probability: 0.0,
+    }
+}
+
+/// Poll a registry counter until it reaches `want` (bounded wait).
+fn wait_for_counter(handle: &ServerHandle, name: &str, want: u64) {
+    let started = Instant::now();
+    loop {
+        let seen = handle
+            .registry()
+            .snapshot()
+            .counters
+            .get(name)
+            .copied()
+            .unwrap_or(0);
+        if seen >= want {
+            return;
+        }
+        assert!(
+            started.elapsed() < Duration::from_secs(10),
+            "{name} stuck at {seen}, want {want}"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// Connect on this thread, so the connection's place in the listen
+/// backlog is fixed, then send one `/predict` and read the reply on
+/// another.
+fn send_predict(addr: SocketAddr) -> std::thread::JoinHandle<ClientResponse> {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    std::thread::spawn(move || {
+        roundtrip(
+            &mut stream,
+            "POST",
+            "/predict",
+            &[],
+            br#"{"kind": "live", "ram_mib": 1024}"#,
+        )
+        .expect("roundtrip")
+    })
+}
+
+#[test]
+fn join_on_an_idle_server_returns_promptly() {
+    // The accept thread blocks in accept(); join must wake it, also when
+    // the listener is bound to the unspecified address.
+    for addr in ["127.0.0.1:0", "0.0.0.0:0"] {
+        let cfg = ServeConfig {
+            addr: addr.to_string(),
+            ..quiet()
+        };
+        let handle = wavm3_serve::start(cfg).expect("start");
+        let started = Instant::now();
+        let report = handle.join();
+        let took = started.elapsed();
+        assert!(
+            took < Duration::from_millis(200),
+            "{addr}: join took {took:?}"
+        );
+        assert_eq!(
+            report,
+            DrainReport {
+                accepted: 0,
+                completed: 0,
+                shed: 0,
+                chaos_dropped: 0,
+            },
+            "{addr}: the wake connection must not be counted"
+        );
+    }
+}
+
+#[test]
+fn shutdown_from_another_thread_mid_request_accounts_for_every_client() {
+    const CLIENTS: u64 = 6;
+    let cfg = ServeConfig {
+        workers: CLIENTS as usize,
+        chaos: fixed_latency(4, 200),
+        ..ServeConfig::default()
+    };
+    let handle = wavm3_serve::start(cfg).expect("start");
+    let addr = handle.local_addr();
+    let clients: Vec<_> = (0..CLIENTS).map(|_| send_predict(addr)).collect();
+    // Every client is accepted and asleep in a worker's chaos stage.
+    wait_for_counter(&handle, "serve.chaos.latency_injected", CLIENTS);
+    std::thread::scope(|s| {
+        s.spawn(|| handle.shutdown());
+    });
+    // A connection after shutdown is never accepted (it may be refused
+    // outright once the listener is gone).
+    let late = TcpStream::connect(addr);
+    let report = handle.join();
+    drop(late);
+
+    assert_eq!(report.accepted, CLIENTS);
+    assert_eq!(report.accepted, report.completed + report.shed);
+    assert_eq!(report.shed, 0);
+    for client in clients {
+        let response = client.join().expect("client thread");
+        assert_eq!(response.status, 200, "{}", response.body_text());
+    }
+}
+
+#[test]
+fn the_wake_connection_leaves_no_access_log_line_and_no_trace() {
+    let dir = std::env::temp_dir().join(format!("wavm3-serve-wake-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let cfg = ServeConfig {
+        obs: ObsOptions {
+            access_log: Some(dir.join("access.log")),
+            trace_out: Some(dir.clone()),
+            collect_traces: true,
+            sampler: TailSampler {
+                seed: 1,
+                keep_1_in: 1,
+                tail_latency_ms: f64::INFINITY,
+            },
+            ..ObsOptions::default()
+        },
+        ..quiet()
+    };
+    let handle = wavm3_serve::start(cfg).expect("start");
+    for _ in 0..3 {
+        let r = post(
+            &handle,
+            "/predict",
+            r#"{"kind": "live", "ram_mib": 1024}"#,
+            &[],
+        );
+        assert_eq!(r.status, 200, "{}", r.body_text());
+    }
+    // shutdown() and join() each open a wake connection.
+    handle.shutdown();
+    let report = handle.join();
+    assert_eq!(report.accepted, 3);
+
+    let log = std::fs::read_to_string(dir.join("access.log")).expect("access log");
+    assert_eq!(log.lines().count(), 3, "{log}");
+    let spans = std::fs::read_to_string(dir.join("spans.jsonl")).expect("spans");
+    assert_eq!(spans.lines().count(), 3, "{spans}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_stalled_client_on_a_full_queue_holds_admission_for_at_most_the_shed_drain_timeout() {
+    // Mirrors the server's SHED_DRAIN_TIMEOUT: the accept thread waits at
+    // most this long for a shed connection's request before its 429.
+    const SHED_DRAIN_TIMEOUT: Duration = Duration::from_millis(500);
+    const MARGIN: Duration = Duration::from_millis(400);
+    let cfg = ServeConfig {
+        workers: 1,
+        queue_capacity: 1,
+        default_deadline_ms: 10_000,
+        chaos: fixed_latency(2, 1_000),
+        ..ServeConfig::default()
+    };
+    let handle = wavm3_serve::start(cfg).expect("start");
+    let addr = handle.local_addr();
+
+    // A holds the only worker, B the only queue slot.
+    let a = send_predict(addr);
+    wait_for_counter(&handle, "serve.chaos.latency_injected", 1);
+    let b = send_predict(addr);
+    // C connects and sends nothing: it is shed, and the accept thread
+    // waits on its request for up to SHED_DRAIN_TIMEOUT.
+    let mut stalled = TcpStream::connect(addr).expect("connect");
+    stalled
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    // D is well-formed and queued behind C in the backlog.
+    let sent = Instant::now();
+    let d = send_predict(addr).join().expect("client thread");
+    let waited = sent.elapsed();
+    assert_eq!(d.status, 429, "{}", d.body_text());
+    assert_eq!(d.header("retry-after"), Some("1"));
+    assert!(
+        waited < SHED_DRAIN_TIMEOUT + MARGIN,
+        "a stalled client held admission for {waited:?}"
+    );
+
+    let mut raw = Vec::new();
+    stalled.read_to_end(&mut raw).expect("stalled reply");
+    assert!(raw.starts_with(b"HTTP/1.1 429 "), "{raw:?}");
+    let report = handle.join();
+    for client in [a, b] {
+        let response = client.join().expect("client thread");
+        assert_eq!(response.status, 200, "{}", response.body_text());
+    }
+    assert_eq!(report.accepted, 4);
+    assert_eq!(report.shed, 2);
+    assert_eq!(report.accepted, report.completed + report.shed);
 }
