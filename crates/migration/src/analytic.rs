@@ -1,9 +1,10 @@
 //! The analytic fast path: closed-form per-phase energy integration.
 //!
-//! [`run_analytic`] replays the *same* migration dynamics as the sampled
-//! reference engine — identical stage machine, CPU-coupled bandwidth,
-//! dirty-page saturation, fault plan and per-run jitter — but integrates
-//! energy exactly instead of materialising a 2 Hz meter trace:
+//! [`run_analytic_reusing`] drives the same [`StageMachine`] as the
+//! sampled reference engine — so phases, rounds, bytes, downtime, outcome
+//! and fault events come from one copy of the decision logic — under the
+//! same CPU-coupled bandwidth and per-run jitter, but integrates energy
+//! exactly instead of materialising a 2 Hz meter trace:
 //!
 //! * the tick loop covers only `[ms, me]` (no lead-in or stabilising tail
 //!   ticks — neither contributes to any phase window);
@@ -18,11 +19,12 @@
 //!   streams (`wander.analytic.*`), two draws per window instead of one
 //!   per tick — the sampled path's own streams are left untouched, so
 //!   sampled results stay byte-identical whether or not this path exists;
-//! * host/VM state lives in flat per-host slot vectors (no cluster
-//!   mutation, no per-tick map lookups), demand curves come from
-//!   [`WorkloadProfile`]s (sinusoid ripple advanced by a unit rotation
-//!   per tick), and `u^e` / `exp` in the inner loop are served from
-//!   small memo/Taylor caches.
+//! * host/VM state lives in flat per-host slot vectors that mirror the
+//!   machine's view of the migrant (no cluster mutation, no per-tick map
+//!   lookups), demand curves come from [`WorkloadProfile`]s (sinusoid
+//!   ripple advanced by a unit rotation per tick), `u^e` is served from a
+//!   small memo/Taylor cache, and a three-tier tick cache reuses the
+//!   prelude between state-changing events.
 //!
 //! ## Known, documented approximations (all bounded or zero-mean)
 //!
@@ -37,45 +39,26 @@
 //!   error ≤ 10⁻⁶ of the dynamic-power term).
 //!
 //! No per-sample rows exist on this path, so [`MigrationRecord`] carries
-//! empty meter/truth traces, telemetry and feature samples; everything
-//! deterministic (phases, rounds, bytes, downtime, outcome, fault events)
-//! is produced by the same decision logic as the sampled engine.
+//! empty meter/truth traces, telemetry and feature samples.
+//!
+//! [`StageMachine`]: crate::stages::StageMachine
+//! [`WorkloadProfile`]: wavm3_workloads::WorkloadProfile
 
-use crate::config::MigrationKind;
-use crate::record::{MigrationOutcome, MigrationRecord, RoundStats};
-use crate::simulation::{MigrationSimulation, RunJitter, PEAK_PAGE_WRITE_RATE};
+use crate::record::{MigrationRecord, RoundStats};
+use crate::simulation::{MigrationSimulation, PEAK_PAGE_WRITE_RATE};
+use crate::stages::{Stage, StageMachine};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use wavm3_cluster::{
     cpu::vmm_overhead_cores, CpuAccounting, Host, Link, PowerProfile, VmId, PAGE_SIZE_BYTES,
 };
-use wavm3_faults::{observe_fault, FaultEvent, FaultPlan};
-use wavm3_obs::{metrics, LedgerEntry, RoleLedger, TermEnergy};
+use wavm3_obs::{LedgerEntry, RoleLedger, TermEnergy};
 use wavm3_power::{
     EnergyBreakdown, OuIntegrator, PhaseTimes, PowerInputs, PowerTerms, PowerTrace,
     TelemetryRecorder, TermIntegral,
 };
 use wavm3_simkit::{CounterRng, RngFactory, SimDuration, SimTime};
 use wavm3_workloads::{DemandProfile, Workload};
-
-/// Coarse engine state, mirroring the sampled engine's stage machine.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Stage {
-    Pre,
-    Initiation,
-    Transfer,
-    Activation,
-}
-
-/// In-flight transfer bookkeeping (identical to the sampled engine's).
-#[derive(Debug, Clone, Copy)]
-struct Xfer {
-    round: usize,
-    remaining_bytes: f64,
-    round_bytes_sent: f64,
-    round_start: SimTime,
-    stop_and_copy: bool,
-}
 
 /// A CPU-demand curve specialised for per-tick evaluation.
 enum CpuCurve {
@@ -114,6 +97,40 @@ struct Slot {
 }
 
 impl Slot {
+    /// Advance the demand curve by one tick and store the demand with
+    /// `Vm::set_cpu_demand` semantics (clamped to `[0, vcpus]`).
+    /// `migrant_factor` is the post-copy degraded-demand multiplier,
+    /// applied to the migrant slot only (1.0 otherwise — an exact no-op).
+    /// VMs with no workload attached keep their demand.
+    #[inline]
+    fn advance_demand(&mut self, now: SimTime, migrant_factor: f64) {
+        if let Some(wl) = &self.wl {
+            let mut demand = match &mut self.cpu {
+                CpuCurve::Constant(c) => *c,
+                CpuCurve::Osc {
+                    s,
+                    c,
+                    step_s,
+                    step_c,
+                    target,
+                    half_ripple,
+                } => {
+                    let factor = 1.0 + *half_ripple * *s;
+                    let d = (*target * factor).max(0.0);
+                    let (ns, nc) = (*s * *step_c + *c * *step_s, *c * *step_c - *s * *step_s);
+                    *s = ns;
+                    *c = nc;
+                    d
+                }
+                CpuCurve::General => wl.cpu_demand(now),
+            };
+            if self.is_migrant {
+                demand *= migrant_factor;
+            }
+            self.demand = demand.clamp(0.0, self.vcpus);
+        }
+    }
+
     #[inline]
     fn write_rate_at(&self, t: SimTime) -> f64 {
         match self.write_rate {
@@ -231,11 +248,8 @@ impl HostState {
         }
     }
 
-    /// Refresh every workload's CPU demand (advancing each ripple
-    /// oscillator by one tick) and fold the sums this tick needs, all in
-    /// one placement-order pass. `migrant_factor` is the post-copy
-    /// degraded-demand multiplier, applied to the migrant slot only
-    /// (pass 1.0 otherwise — an exact no-op).
+    /// Refresh every workload's CPU demand ([`Slot::advance_demand`]) and
+    /// fold the sums this tick needs, all in one placement-order pass.
     ///
     /// Suspension flags must be synced *before* the call: the folds read
     /// them, exactly like `Vm::cpu_demand` gating on the Running state.
@@ -243,32 +257,7 @@ impl HostState {
     fn refresh_tick(&mut self, now: SimTime, migrant_factor: f64) -> TickSums {
         let mut sums = TickSums::default();
         for slot in &mut self.slots {
-            if let Some(wl) = &slot.wl {
-                let mut demand = match &mut slot.cpu {
-                    CpuCurve::Constant(c) => *c,
-                    CpuCurve::Osc {
-                        s,
-                        c,
-                        step_s,
-                        step_c,
-                        target,
-                        half_ripple,
-                    } => {
-                        let factor = 1.0 + *half_ripple * *s;
-                        let d = (*target * factor).max(0.0);
-                        let (ns, nc) = (*s * *step_c + *c * *step_s, *c * *step_c - *s * *step_s);
-                        *s = ns;
-                        *c = nc;
-                        d
-                    }
-                    CpuCurve::General => wl.cpu_demand(now),
-                };
-                if slot.is_migrant {
-                    demand *= migrant_factor;
-                }
-                // Vm::set_cpu_demand semantics.
-                slot.demand = demand.clamp(0.0, slot.vcpus);
-            }
+            slot.advance_demand(now, migrant_factor);
             if slot.running {
                 sums.running += 1;
                 sums.vm_cores += slot.demand;
@@ -276,8 +265,6 @@ impl HostState {
                     sums.line_share += slot.line_share_at(now);
                     sums.write_rate += slot.write_rate_at(now);
                 }
-            } else {
-                sums.vm_cores += 0.0;
             }
         }
         sums
@@ -292,31 +279,7 @@ impl HostState {
     fn refresh_vm_cores(&mut self, now: SimTime, migrant_factor: f64) -> f64 {
         let mut vm_cores = 0.0;
         for slot in &mut self.slots {
-            if let Some(wl) = &slot.wl {
-                let mut demand = match &mut slot.cpu {
-                    CpuCurve::Constant(c) => *c,
-                    CpuCurve::Osc {
-                        s,
-                        c,
-                        step_s,
-                        step_c,
-                        target,
-                        half_ripple,
-                    } => {
-                        let factor = 1.0 + *half_ripple * *s;
-                        let d = (*target * factor).max(0.0);
-                        let (ns, nc) = (*s * *step_c + *c * *step_s, *c * *step_c - *s * *step_s);
-                        *s = ns;
-                        *c = nc;
-                        d
-                    }
-                    CpuCurve::General => wl.cpu_demand(now),
-                };
-                if slot.is_migrant {
-                    demand *= migrant_factor;
-                }
-                slot.demand = demand.clamp(0.0, slot.vcpus);
-            }
+            slot.advance_demand(now, migrant_factor);
             if slot.running {
                 vm_cores += slot.demand;
             }
@@ -400,31 +363,6 @@ impl PowCache {
     }
 }
 
-/// Single-entry memo for `exp` (the dirty-saturation factor is constant
-/// for every full-length sub-step of a round).
-struct ExpCache {
-    arg: f64,
-    val: f64,
-}
-
-impl ExpCache {
-    fn new() -> Self {
-        ExpCache {
-            arg: f64::NAN,
-            val: 0.0,
-        }
-    }
-
-    #[inline]
-    fn eval(&mut self, arg: f64) -> f64 {
-        if arg != self.arg {
-            self.arg = arg;
-            self.val = arg.exp();
-        }
-        self.val
-    }
-}
-
 /// Ground-truth terms with the `u^e` served from the cache; otherwise the
 /// same arithmetic (and rounding order) as `ground_truth_terms`.
 #[inline]
@@ -468,86 +406,58 @@ fn spread(det: &TermIntegral, wander_j: f64) -> TermEnergy {
     }
 }
 
-/// Mark newly-entered degraded-link windows (once each) and emit their
-/// fault events — the sampled engine's per-tick check, verbatim.
-fn note_link_windows(
-    plan: &FaultPlan,
-    seen: &mut [bool],
-    events: &mut Vec<FaultEvent>,
-    now: SimTime,
-) {
-    for (i, w) in plan.link_windows().iter().enumerate() {
-        if w.window.contains(now) && !seen[i] {
-            seen[i] = true;
-            events.push(FaultEvent::LinkDegraded {
-                window: w.window,
-                bandwidth_factor: w.bandwidth_factor,
-            });
-            observe_fault(events.last().expect("just pushed"));
-        }
+/// Mirror the stage machine's view of the migrant into the slot arrays:
+/// move its slot to the target once it runs there, and sync its run flag.
+/// Returns `true` when either changed.
+#[inline]
+fn sync_migrant(
+    machine: &StageMachine,
+    src: &mut HostState,
+    dst: &mut HostState,
+    m_idx: &mut usize,
+) -> bool {
+    let on_target = machine.migrant_on_target();
+    let relocated = on_target && src.slots.get(*m_idx).is_some_and(|s| s.is_migrant);
+    if relocated {
+        *m_idx = relocate(src, dst, *m_idx);
     }
+    let host = if on_target { dst } else { src };
+    let slot = &mut host.slots[*m_idx];
+    let flipped = slot.running != machine.migrant_running();
+    slot.running = machine.migrant_running();
+    relocated || flipped
 }
 
-/// Run the scenario on the analytic path. See the module docs for the
-/// contract with the sampled reference engine.
-pub(crate) fn run_analytic(sim: MigrationSimulation) -> MigrationRecord {
-    let rng = sim.rng;
-    run_analytic_reusing(&sim, rng, &mut RunSlot::default())
+/// Move slot `idx` from `src` to the end of `dst`; returns its new index.
+/// Kept out of line: it runs at most once per run.
+#[inline(never)]
+fn relocate(src: &mut HostState, dst: &mut HostState, idx: usize) -> usize {
+    dst.slots.push(src.slots.remove(idx));
+    dst.slots.len() - 1
 }
 
-/// [`run_analytic`] on a borrowed scenario with recycled buffers and a
-/// caller-supplied RNG root: campaign workers rebuild neither the cluster
-/// nor the slot arrays between repetitions. Bit-identical to the one-shot
-/// path for the same `(sim, rng)`.
+/// Run the scenario on the analytic path (see the module docs) with
+/// recycled buffers and a caller-supplied RNG root: campaign workers
+/// rebuild neither the cluster nor the slot arrays between repetitions.
+/// The result is a pure function of `(sim, rng)`.
 pub(crate) fn run_analytic_reusing(
     sim: &MigrationSimulation,
     rng: RngFactory,
     arena: &mut RunSlot,
 ) -> MigrationRecord {
     let _perf = wavm3_obs::perf::scope("migration.run.analytic");
-    let cluster = &sim.cluster;
-    let workloads = &sim.workloads;
-    let migrant = sim.migrant;
-    let source = sim.source;
-    let target = sim.target;
     let cfg = sim.config;
 
     let dt = cfg.timing.tick;
     let dt_s = dt.as_secs_f64();
     let dt_us = dt.as_micros();
 
-    let migrant_ram_bytes = cluster
-        .vm(migrant)
-        .expect("migrant exists")
-        .memory
-        .total_bytes();
-    let migrant_total_pages = migrant_ram_bytes / PAGE_SIZE_BYTES;
-    let vm_ram_mib = cluster.vm(migrant).unwrap().spec.ram_mib;
-    let link: Link = cluster.link;
-    let (src_name, dst_name, src_power, dst_power, machine_set, idle_power_w) = {
-        let s = &cluster.host(source).spec;
-        let t = &cluster.host(target).spec;
-        assert_eq!(
-            s.set, t.set,
-            "paper scenario: homogeneous source and target (Xen restriction)"
-        );
-        (
-            s.name.clone(),
-            t.name.clone(),
-            s.power,
-            t.power,
-            s.set,
-            s.power.idle_w,
-        )
-    };
-
+    let link: Link = sim.cluster.link;
     // Same per-run jitter streams (and therefore the same draws) as the
     // sampled path; the wander moves to dedicated counter streams.
+    let setup = sim.setup(&rng);
+    let (src_power, dst_power) = (setup.src_power, setup.dst_power);
     let noise = cfg.env_noise;
-    let src_jitter = RunJitter::draw(&mut rng.stream("jitter.source"), &noise);
-    let dst_jitter = RunJitter::draw(&mut rng.stream("jitter.target"), &noise);
-    let src_power = src_jitter.apply(src_power);
-    let dst_power = dst_jitter.apply(dst_power);
     let mut src_wander: OuIntegrator<CounterRng> = OuIntegrator::new(
         noise.wander_tau_s,
         noise.wander_std_w,
@@ -562,62 +472,40 @@ pub(crate) fn run_analytic_reusing(
     );
     let ledger_on = wavm3_obs::ledger_active();
 
-    let fault_plan = FaultPlan::generate(&cfg.faults, &rng);
-    let mut fault_events: Vec<FaultEvent> = Vec::new();
-    let mut link_window_seen = std::mem::take(&mut arena.link_seen);
-    link_window_seen.clear();
-    link_window_seen.resize(fault_plan.link_windows().len(), false);
-    let mut aborted = false;
-
-    // Phase instants (`ts` collapses on an abort during initiation).
-    let ms = SimTime::ZERO + cfg.timing.pre_run;
-    let mut ts = ms + cfg.timing.initiation;
-    let mut te: Option<SimTime> = None;
-    let mut me: Option<SimTime> = None;
-
     // Slot state starts at the first processed tick: the one containing
     // `ms` (it can straddle `ms` when the tick doesn't divide it, and its
     // `[ms, ·)` remainder belongs to the initiation window).
+    let ms = SimTime::ZERO + cfg.timing.pre_run;
     let k0 = ms.as_micros() / dt_us;
     let mut now = SimTime::from_micros(k0 * dt_us);
     let mut hsrc = HostState::from_host(
-        cluster.host(source),
-        workloads,
-        migrant,
+        sim.cluster.host(sim.source),
+        &sim.workloads,
+        sim.migrant,
         now,
         dt_s,
         std::mem::take(&mut arena.src_slots),
     );
     let mut hdst = HostState::from_host(
-        cluster.host(target),
-        workloads,
-        migrant,
+        sim.cluster.host(sim.target),
+        &sim.workloads,
+        sim.migrant,
         now,
         dt_s,
         std::mem::take(&mut arena.dst_slots),
     );
     let mut m_idx = hsrc.migrant_index().expect("migrant starts on the source");
-    let migrant_wl = workloads.get(&migrant).cloned();
-    let migrant_ws_pages = migrant_wl
-        .as_ref()
-        .map(|w| w.working_set_fraction() * migrant_total_pages as f64)
-        .unwrap_or(0.0);
+    let mut machine = StageMachine::new(
+        &cfg,
+        &rng,
+        &setup,
+        std::mem::take(&mut arena.rounds),
+        std::mem::take(&mut arena.link_seen),
+    );
 
     let mut pow_src = PowCache::new(src_power.cpu_exponent);
     let mut pow_dst = PowCache::new(dst_power.cpu_exponent);
-    let mut dirty_exp = ExpCache::new();
-
-    let mut stage = Stage::Pre;
-    let mut xfer: Option<Xfer> = None;
-    let mut dirty_pages: f64 = 0.0;
-    let mut total_bytes: f64 = 0.0;
     let mut current_bw: f64;
-    let mut suspend_time: Option<SimTime> = None;
-    let mut resume_time: Option<SimTime> = None;
-    let mut migrant_on_target = false;
-    let mut migrant_running = true;
-    let mut rounds = std::mem::take(&mut arena.rounds);
-    rounds.clear();
 
     // Per-phase deterministic integrals: [initiation, transfer, tail].
     let mut int_src = [TermIntegral::default(); 3];
@@ -662,7 +550,6 @@ pub(crate) fn run_analytic_reusing(
     let mut c_src_wrf = 0.0;
     let mut c_dst_wrf = 0.0;
     let mut c_migrant_factor = f64::NAN;
-    let mut c_fault_factor = 1.0;
     let mut c_bw_base = 0.0;
     let mut c_bw = 0.0;
     let mut c_migrant_wr = 0.0;
@@ -682,111 +569,25 @@ pub(crate) fn run_analytic_reusing(
     let mut ticks_semi: u64 = 0;
 
     let _perf_ticks = wavm3_obs::perf::scope("analytic.tick_loop");
-    loop {
-        if let Some(me_t) = me {
-            if now >= me_t {
-                break;
-            }
-        }
+    while machine.bounds().2.is_none_or(|me| now < me) {
         assert!(now < horizon, "simulation failed to terminate");
 
-        // --- Stage transitions on wall-clock boundaries (cascading). ---
-        if stage == Stage::Pre && now >= ms {
-            stage = Stage::Initiation;
-            cache_dirty = true;
-            if cfg.kind == MigrationKind::NonLive {
-                migrant_running = false;
-                suspend_time = Some(now);
-            }
-        }
-        if stage == Stage::Initiation && now >= ts {
-            stage = Stage::Transfer;
-            cache_dirty = true;
-            xfer = Some(Xfer {
-                round: 0,
-                remaining_bytes: migrant_ram_bytes as f64,
-                round_bytes_sent: 0.0,
-                round_start: now,
-                stop_and_copy: false,
-            });
-            dirty_pages = 0.0;
-            if cfg.kind == MigrationKind::PostCopy {
-                migrant_running = false;
-                suspend_time = Some(now);
-                let slot = hsrc.slots.remove(m_idx);
-                hdst.slots.push(slot);
-                m_idx = hdst.slots.len() - 1;
-                migrant_on_target = true;
-                src_const = host_const(&hsrc);
-                dst_const = host_const(&hdst);
-            }
-        }
-        if cfg.kind == MigrationKind::PostCopy
-            && migrant_on_target
-            && resume_time.is_none()
-            && now >= ts + cfg.timing.postcopy_handover
-        {
-            migrant_running = true;
-            resume_time = Some(now);
-            cache_dirty = true;
-        }
-
-        // --- Injected abort: identical gating to the sampled engine. ---
-        if !aborted
-            && matches!(stage, Stage::Initiation | Stage::Transfer)
-            && !migrant_on_target
-            && fault_plan.abort_at().is_some_and(|t| now >= t)
-        {
-            aborted = true;
-            fault_events.push(FaultEvent::Aborted {
-                at: now,
-                bytes_sent: total_bytes.round() as u64,
-            });
-            observe_fault(fault_events.last().expect("just pushed"));
-            if !migrant_running {
-                migrant_running = true;
-                resume_time = Some(now);
-            }
-            if stage == Stage::Initiation {
-                ts = now; // the transfer never started
-            }
-            te = Some(now);
-            me = Some(now + cfg.timing.activation);
-            xfer = None;
-            dirty_pages = 0.0;
-            stage = Stage::Activation;
-            cache_dirty = true;
-        }
-
-        // --- Refresh demands and fold per-host tick sums (one pass). ---
+        // --- Stage transitions, then the migrant's slot follows them.
         // Suspension gates the demand at read time, as Vm::cpu_demand
         // does, so the migrant's flag syncs before the fold.
-        {
-            let m = if migrant_on_target {
-                &mut hdst.slots[m_idx]
-            } else {
-                &mut hsrc.slots[m_idx]
-            };
-            if m.running != migrant_running {
-                m.running = migrant_running;
-                cache_dirty = true;
-            }
-        }
-        let migrant_factor = if cfg.kind == MigrationKind::PostCopy && stage == Stage::Transfer {
-            let progress = xfer
-                .map(|x| 1.0 - (x.remaining_bytes / migrant_ram_bytes as f64).clamp(0.0, 1.0))
-                .unwrap_or(1.0);
-            0.55 + 0.45 * progress
-        } else {
-            1.0
-        };
-        if migrant_factor != c_migrant_factor {
+        let stage_before = machine.stage();
+        machine.begin_tick(now);
+        let stage = machine.stage();
+        cache_dirty |= stage != stage_before;
+        if sync_migrant(&machine, &mut hsrc, &mut hdst, &mut m_idx) {
             cache_dirty = true;
+            src_const = host_const(&hsrc);
+            dst_const = host_const(&hdst);
         }
+        let migrant_factor = machine.migrant_demand_factor();
+        cache_dirty |= migrant_factor != c_migrant_factor;
 
-        let stage_at_prelude = stage;
-        let mut sums_stale = false;
-        let mut fresh_terms;
+        let fresh_terms;
         let mut semi_partial = false;
         let mut have_sums = false;
         let mut src_wr_fold = 0.0;
@@ -802,35 +603,13 @@ pub(crate) fn run_analytic_reusing(
             let dst_sums = hdst.refresh_tick(now, migrant_factor);
 
             // --- Migration CPU demand per stage (CPU_migr of Eq. 2). ---
-            migrant_wr = {
-                let m = if migrant_on_target {
-                    &hdst.slots[m_idx]
-                } else {
-                    &hsrc.slots[m_idx]
-                };
-                if m.wl.is_some() {
-                    m.write_rate_at(now)
-                } else {
-                    0.0
-                }
-            };
-            let migrant_running_on_source = !migrant_on_target && migrant_running;
-            let dirty_intensity = if cfg.kind == MigrationKind::Live && migrant_running_on_source {
-                (migrant_wr / PEAK_PAGE_WRITE_RATE).min(1.0)
+            migrant_wr = if machine.migrant_on_target() {
+                &hdst.slots[m_idx]
             } else {
-                0.0
-            };
-            let (migr_src_cores, migr_dst_cores) = match stage {
-                Stage::Initiation | Stage::Activation => {
-                    (cfg.cpu_cost.control_cores, cfg.cpu_cost.control_cores)
-                }
-                Stage::Transfer => (
-                    cfg.cpu_cost.source_cores_at_line_rate
-                        + cfg.cpu_cost.dirty_tracking_cores * dirty_intensity,
-                    cfg.cpu_cost.target_cores_at_line_rate,
-                ),
-                Stage::Pre => (0.0, 0.0),
-            };
+                &hsrc.slots[m_idx]
+            }
+            .write_rate_at(now);
+            let (migr_src_cores, migr_dst_cores) = machine.migration_cores(migrant_wr);
 
             // --- Resolve CPU allocations and the coupled bandwidth. ---
             src_alloc = CpuAccounting {
@@ -847,27 +626,10 @@ pub(crate) fn run_analytic_reusing(
             .allocate(hdst.capacity);
             src_bg = src_sums.line_share.min(1.0);
             dst_bg = dst_sums.line_share.min(1.0);
-            current_bw = if stage == Stage::Transfer {
-                let free_line = (1.0 - src_bg.max(dst_bg)).max(0.02);
-                let fault_factor = fault_plan.bandwidth_factor_at(now);
-                if fault_factor < 1.0 {
-                    note_link_windows(&fault_plan, &mut link_window_seen, &mut fault_events, now);
-                }
-                // Split so cached ticks can re-apply a moved fault factor
-                // with the same rounding: `(base * factor).min(cap)`.
-                let base = link.effective_bandwidth(src_alloc.scale, dst_alloc.scale) * free_line;
-                c_bw_base = base;
-                c_fault_factor = fault_factor;
-                let bw = base * fault_factor;
-                match cfg.precopy.rate_limit_bps {
-                    Some(cap) => bw.min(cap.max(1.0)),
-                    None => bw,
-                }
-            } else {
-                c_bw_base = 0.0;
-                c_fault_factor = 1.0;
-                0.0
-            };
+            // Cached ticks re-apply a moved fault factor to the same base.
+            let free_line = (1.0 - src_bg.max(dst_bg)).max(0.02);
+            c_bw_base = link.effective_bandwidth(src_alloc.scale, dst_alloc.scale) * free_line;
+            current_bw = machine.transfer_bandwidth(now, c_bw_base);
 
             c_migrant_factor = migrant_factor;
             c_migrant_wr = migrant_wr;
@@ -894,23 +656,10 @@ pub(crate) fn run_analytic_reusing(
             dst_alloc = c_dst_alloc;
             src_bg = c_src_bg;
             dst_bg = c_dst_bg;
-            fresh_terms = false;
-            if stage == Stage::Transfer {
-                let fault_factor = fault_plan.bandwidth_factor_at(now);
-                if fault_factor < 1.0 {
-                    note_link_windows(&fault_plan, &mut link_window_seen, &mut fault_events, now);
-                }
-                if fault_factor != c_fault_factor {
-                    c_fault_factor = fault_factor;
-                    let bw = c_bw_base * fault_factor;
-                    c_bw = match cfg.precopy.rate_limit_bps {
-                        Some(cap) => bw.min(cap.max(1.0)),
-                        None => bw,
-                    };
-                    fresh_terms = true;
-                }
-            }
-            current_bw = c_bw;
+            let bw = machine.transfer_bandwidth(now, c_bw_base);
+            fresh_terms = bw != c_bw;
+            c_bw = bw;
+            current_bw = bw;
         } else {
             // Semi-cached tick (oscillating demand, constant folds):
             // advance the curves and re-fold `vm_cores`, reuse everything
@@ -919,23 +668,7 @@ pub(crate) fn run_analytic_reusing(
             // allocation and power terms are frozen between events.
             ticks_semi += 1;
             migrant_wr = c_migrant_wr;
-            let migrant_running_on_source = !migrant_on_target && migrant_running;
-            let dirty_intensity = if cfg.kind == MigrationKind::Live && migrant_running_on_source {
-                (migrant_wr / PEAK_PAGE_WRITE_RATE).min(1.0)
-            } else {
-                0.0
-            };
-            let (migr_src_cores, migr_dst_cores) = match stage {
-                Stage::Initiation | Stage::Activation => {
-                    (cfg.cpu_cost.control_cores, cfg.cpu_cost.control_cores)
-                }
-                Stage::Transfer => (
-                    cfg.cpu_cost.source_cores_at_line_rate
-                        + cfg.cpu_cost.dirty_tracking_cores * dirty_intensity,
-                    cfg.cpu_cost.target_cores_at_line_rate,
-                ),
-                Stage::Pre => (0.0, 0.0),
-            };
+            let (migr_src_cores, migr_dst_cores) = machine.migration_cores(migrant_wr);
             src_alloc = if src_const {
                 c_src_alloc
             } else {
@@ -958,21 +691,9 @@ pub(crate) fn run_analytic_reusing(
             };
             src_bg = c_src_bg;
             dst_bg = c_dst_bg;
-            current_bw = if stage == Stage::Transfer {
-                let free_line = (1.0 - src_bg.max(dst_bg)).max(0.02);
-                let fault_factor = fault_plan.bandwidth_factor_at(now);
-                if fault_factor < 1.0 {
-                    note_link_windows(&fault_plan, &mut link_window_seen, &mut fault_events, now);
-                }
-                let base = link.effective_bandwidth(src_alloc.scale, dst_alloc.scale) * free_line;
-                let bw = base * fault_factor;
-                match cfg.precopy.rate_limit_bps {
-                    Some(cap) => bw.min(cap.max(1.0)),
-                    None => bw,
-                }
-            } else {
-                0.0
-            };
+            let free_line = (1.0 - src_bg.max(dst_bg)).max(0.02);
+            let base = link.effective_bandwidth(src_alloc.scale, dst_alloc.scale) * free_line;
+            current_bw = machine.transfer_bandwidth(now, base);
             // Unchanged bandwidth (unsaturated endpoints) leaves every
             // non-CPU term of the last tick valid.
             semi_partial = current_bw == c_bw;
@@ -983,139 +704,20 @@ pub(crate) fn run_analytic_reusing(
             fresh_terms = true;
         }
 
-        // --- Advance the transfer within this tick (may cross rounds). ---
-        if stage == Stage::Transfer {
-            let write_rate = migrant_wr;
-            let mut t_cur = now;
-            let mut dt_left = dt_s;
-            while dt_left > 1e-12 {
-                let x = xfer.as_mut().expect("transfer state exists");
-                if current_bw <= 0.0 {
-                    break; // fully starved this tick; try again next tick
-                }
-                // Mid-round full ticks skip the division: the guard's
-                // relative margin exceeds the rounding error of the `*`
-                // and `/` involved, so whenever it fires `remaining/bw`
-                // exceeds `dt_left` and `min` would pick `dt_left` — the
-                // exact `(step, moved)` the divided path produces.
-                let full_tick = current_bw * dt_left;
-                let (step, moved) = if x.remaining_bytes > full_tick * 1.000_000_1 {
-                    (dt_left, full_tick)
-                } else {
-                    let step = (x.remaining_bytes / current_bw).min(dt_left);
-                    (step, current_bw * step)
-                };
-                x.remaining_bytes -= moved;
-                x.round_bytes_sent += moved;
-                total_bytes += moved;
-                if cfg.kind == MigrationKind::Live && migrant_running && migrant_ws_pages >= 1.0 {
-                    dirty_pages = migrant_ws_pages
-                        - (migrant_ws_pages - dirty_pages)
-                            * dirty_exp.eval(-write_rate * step / migrant_ws_pages);
-                }
-                let completes = x.remaining_bytes <= 0.5;
-                if completes || step < dt_left {
-                    // `t_cur` is only ever read at a round boundary; a
-                    // full step that completes nothing ends the tick, so
-                    // its µs conversion is unobservable and skipped.
-                    t_cur += SimDuration::from_secs_f64(step);
-                }
-                dt_left -= step;
-                if completes {
-                    // Round complete at t_cur.
-                    let pages_sent = (x.round_bytes_sent / PAGE_SIZE_BYTES as f64).max(1.0);
-                    let d_end = dirty_pages.round() as u64;
-                    rounds.push(RoundStats {
-                        round: x.round,
-                        bytes_sent: x.round_bytes_sent.round() as u64,
-                        duration: t_cur - x.round_start,
-                        dirty_at_end_pages: d_end,
-                        stop_and_copy: x.stop_and_copy,
-                    });
-                    let finish = |te_slot: &mut Option<SimTime>,
-                                  me_slot: &mut Option<SimTime>,
-                                  t_end: SimTime| {
-                        *te_slot = Some(t_end);
-                        *me_slot = Some(t_end + cfg.timing.activation);
-                    };
-                    if x.stop_and_copy || cfg.kind != MigrationKind::Live {
-                        finish(&mut te, &mut me, t_cur);
-                        stage = Stage::Activation;
-                    } else {
-                        let threshold = cfg.precopy.stop_threshold_pages as f64;
-                        let stall = d_end as f64 >= cfg.precopy.stall_ratio * pages_sent;
-                        let cap = x.round + 1 >= cfg.precopy.max_rounds;
-                        let forced = d_end > 0
-                            && fault_plan
-                                .force_stop_after_rounds()
-                                .is_some_and(|c| x.round + 1 >= c)
-                            && !(d_end as f64 <= threshold || stall || cap);
-                        if forced {
-                            fault_events.push(FaultEvent::ForcedStopAndCopy {
-                                at: t_cur,
-                                after_rounds: x.round + 1,
-                            });
-                            observe_fault(fault_events.last().expect("just pushed"));
-                        }
-                        if d_end == 0 {
-                            finish(&mut te, &mut me, t_cur);
-                            stage = Stage::Activation;
-                        } else if d_end as f64 <= threshold || stall || cap || forced {
-                            // Final stop-and-copy: suspend the VM.
-                            migrant_running = false;
-                            hsrc.slots[m_idx].running = false;
-                            sums_stale = true;
-                            suspend_time = Some(t_cur);
-                            *x = Xfer {
-                                round: x.round + 1,
-                                remaining_bytes: d_end as f64 * PAGE_SIZE_BYTES as f64,
-                                round_bytes_sent: 0.0,
-                                round_start: t_cur,
-                                stop_and_copy: true,
-                            };
-                            dirty_pages = 0.0;
-                        } else {
-                            *x = Xfer {
-                                round: x.round + 1,
-                                remaining_bytes: d_end as f64 * PAGE_SIZE_BYTES as f64,
-                                round_bytes_sent: 0.0,
-                                round_start: t_cur,
-                                stop_and_copy: false,
-                            };
-                            dirty_pages = 0.0;
-                        }
-                    }
-                    if stage != Stage::Transfer {
-                        break;
-                    }
-                }
-            }
-            // Transfer finished inside this tick: perform the handover
-            // (post-copy already moved the VM at the start of transfer).
-            if stage == Stage::Activation {
-                if !migrant_on_target {
-                    let te_t = te.expect("te set");
-                    let slot = hsrc.slots.remove(m_idx);
-                    hdst.slots.push(slot);
-                    m_idx = hdst.slots.len() - 1;
-                    migrant_on_target = true;
-                    migrant_running = true;
-                    hdst.slots[m_idx].running = true;
-                    sums_stale = true;
-                    resume_time = Some(te_t);
-                    src_const = host_const(&hsrc);
-                    dst_const = host_const(&hdst);
-                }
-                current_bw = 0.0;
-                cache_dirty = true;
-            }
+        // --- Advance the transfer within this tick (may cross rounds);
+        // a stop-and-copy suspension or the activation handover moves the
+        // migrant's slot mid-tick and stales the folds above. ---
+        current_bw = machine.advance_transfer(now, current_bw, dt_s, migrant_wr);
+        let sums_stale = sync_migrant(&machine, &mut hsrc, &mut hdst, &mut m_idx);
+        if sums_stale {
+            src_const = host_const(&hsrc);
+            dst_const = host_const(&hdst);
         }
 
         // --- Ground-truth power for both hosts at this instant. ---
-        let stage_moved = stage != stage_at_prelude;
-        if sums_stale || stage_moved {
-            cache_dirty = true;
-        }
+        let stage_moved = machine.stage() != stage;
+        let stage = machine.stage();
+        cache_dirty |= sums_stale || stage_moved;
         let (src_terms, dst_terms) = if semi_partial && !sums_stale && !stage_moved {
             // Semi-cached tick with unchanged bandwidth: only the CPU
             // utilisation moved, so rebuild just `cpu_w` — the expression
@@ -1149,15 +751,7 @@ pub(crate) fn run_analytic_reusing(
             let migr_nic = link.line_utilisation(current_bw);
             let src_nic_util = (migr_nic + src_bg).min(1.0);
             let dst_nic_util = (migr_nic + dst_bg).min(1.0);
-            let (svc_src, svc_dst) = match stage {
-                Stage::Initiation => (cfg.service.init_source_w, cfg.service.init_target_w),
-                Stage::Transfer => (cfg.service.transfer_source_w, cfg.service.transfer_target_w),
-                Stage::Activation => (
-                    cfg.service.activation_source_w,
-                    cfg.service.activation_target_w,
-                ),
-                Stage::Pre => (0.0, 0.0),
-            };
+            let (svc_src, svc_dst) = machine.service_watts();
             let state_load_rate = if stage == Stage::Transfer {
                 current_bw / PAGE_SIZE_BYTES as f64
             } else {
@@ -1179,7 +773,7 @@ pub(crate) fn run_analytic_reusing(
                     cpu_utilisation: src_alloc.utilisation(),
                     nic_utilisation: src_nic_util,
                     mem_activity: (src_wr / PEAK_PAGE_WRITE_RATE).min(1.0),
-                    service_w: svc_src * src_jitter.service_factor,
+                    service_w: svc_src * setup.src_jitter.service_factor,
                 },
                 &mut pow_src,
             );
@@ -1189,7 +783,7 @@ pub(crate) fn run_analytic_reusing(
                     cpu_utilisation: dst_alloc.utilisation(),
                     nic_utilisation: dst_nic_util,
                     mem_activity: ((state_load_rate + dst_wr) / PEAK_PAGE_WRITE_RATE).min(1.0),
-                    service_w: svc_dst * dst_jitter.service_factor,
+                    service_w: svc_dst * setup.dst_jitter.service_factor,
                 },
                 &mut pow_dst,
             );
@@ -1201,6 +795,7 @@ pub(crate) fn run_analytic_reusing(
         };
 
         // --- Exact window attribution of this tick's constant power. ---
+        let (ts, te, me) = machine.bounds();
         let a = now.as_micros();
         let b = a + dt_us;
         let o1 = overlap_us(a, b, ms.as_micros(), ts.as_micros());
@@ -1233,14 +828,8 @@ pub(crate) fn run_analytic_reusing(
     wavm3_obs::perf::counter_add("analytic.tick_cache.semi_hit", ticks_semi);
     let _perf_finalise = wavm3_obs::perf::scope("analytic.finalise");
 
-    let te = te.expect("transfer completed");
-    let me = me.expect("activation scheduled");
-    let phases = PhaseTimes::new(ms, ts, te, me);
-
-    let downtime = match (suspend_time, resume_time) {
-        (Some(s), Some(r)) => r.saturating_since(s),
-        _ => SimDuration::ZERO,
-    };
+    let end = machine.finish();
+    let PhaseTimes { ms, ts, te, me } = end.phases;
 
     // --- OU wander per phase window, from its exact discrete moments.
     // Tick ownership: window [a, b) owns ticks ceil(a/dt)..ceil(b/dt).
@@ -1259,94 +848,32 @@ pub(crate) fn run_analytic_reusing(
     let w_src = wander_of(&mut src_wander);
     let w_dst = wander_of(&mut dst_wander);
 
-    let totals = |ints: &[TermIntegral; 3], w: &[f64; 3]| {
-        [
+    // Window totals `[initiation, transfer, tail]`, split by outcome the
+    // same way the sampled engine's trace integration is.
+    let breakdown = |ints: &[TermIntegral; 3], w: &[f64; 3]| {
+        EnergyBreakdown::from_windows(
             ints[0].total_j() + w[0],
             ints[1].total_j() + w[1],
             ints[2].total_j() + w[2],
-        ]
+            end.aborted(),
+        )
     };
-    let src_tot = totals(&int_src, &w_src);
-    let dst_tot = totals(&int_dst, &w_dst);
-    let breakdown = |t: &[f64; 3]| {
-        if aborted {
-            EnergyBreakdown {
-                initiation_j: t[0],
-                transfer_j: t[1],
-                activation_j: 0.0,
-                rollback_j: t[2],
-            }
-        } else {
-            EnergyBreakdown {
-                initiation_j: t[0],
-                transfer_j: t[1],
-                activation_j: t[2],
-                rollback_j: 0.0,
-            }
-        }
-    };
-    let source_energy = breakdown(&src_tot);
-    let target_energy = breakdown(&dst_tot);
-
-    // --- Metrics: the same family, one observation per run, as the
-    // sampled path — regression snapshots stay structurally identical.
-    metrics::counter_add("migration.runs", 1);
-    if aborted {
-        metrics::counter_add("migration.aborted", 1);
-    }
-    metrics::observe(
-        "migration.transfer_s",
-        metrics::buckets::DURATION_S,
-        phases.transfer().as_secs_f64(),
-    );
-    metrics::observe(
-        "migration.downtime_s",
-        metrics::buckets::DURATION_S,
-        downtime.as_secs_f64(),
-    );
-    metrics::observe(
-        "migration.energy_kj",
-        metrics::buckets::ENERGY_KJ,
-        (source_energy.total_j() + target_energy.total_j()) / 1e3,
-    );
-    for (name, src_j, dst_j) in [
-        (
-            "migration.phase.initiation_kj",
-            source_energy.initiation_j,
-            target_energy.initiation_j,
-        ),
-        (
-            "migration.phase.transfer_kj",
-            source_energy.transfer_j,
-            target_energy.transfer_j,
-        ),
-        (
-            "migration.phase.activation_kj",
-            source_energy.activation_j,
-            target_energy.activation_j,
-        ),
-        (
-            "migration.phase.rollback_kj",
-            source_energy.rollback_j,
-            target_energy.rollback_j,
-        ),
-    ] {
-        metrics::observe(name, metrics::buckets::ENERGY_KJ, (src_j + dst_j) / 1e3);
-    }
+    let source_energy = breakdown(&int_src, &w_src);
+    let target_energy = breakdown(&int_dst, &w_dst);
+    end.observe(&source_energy, &target_energy);
 
     if ledger_on {
         let role = |ints: &[TermIntegral; 3], w: &[f64; 3]| {
-            let tail = spread(&ints[2], w[2]);
-            RoleLedger {
-                initiation: spread(&ints[0], w[0]),
-                transfer: spread(&ints[1], w[1]),
-                activation: if aborted { TermEnergy::default() } else { tail },
-                rollback: if aborted { tail } else { TermEnergy::default() },
-            }
+            RoleLedger::from_windows(
+                spread(&ints[0], w[0]),
+                spread(&ints[1], w[1]),
+                spread(&ints[2], w[2]),
+                end.aborted(),
+            )
         };
         wavm3_obs::ledger::record(LedgerEntry {
             kind: cfg.kind.label(),
-            outcome: if aborted { "aborted" } else { "completed" },
+            outcome: end.outcome_label(),
             source: role(&int_src, &w_src),
             target: role(&int_dst, &w_dst),
         });
@@ -1354,35 +881,31 @@ pub(crate) fn run_analytic_reusing(
 
     let record = MigrationRecord {
         kind: cfg.kind,
-        machine_set,
-        phases,
-        source_trace: PowerTrace::new(src_name.clone()),
-        target_trace: PowerTrace::new(dst_name.clone()),
-        source_truth: PowerTrace::new(src_name),
-        target_truth: PowerTrace::new(dst_name),
+        machine_set: setup.machine_set,
+        phases: end.phases,
+        source_trace: PowerTrace::new(setup.src_name.clone()),
+        target_trace: PowerTrace::new(setup.dst_name.clone()),
+        source_truth: PowerTrace::new(setup.src_name),
+        target_truth: PowerTrace::new(setup.dst_name),
         telemetry: TelemetryRecorder::new(),
         samples: Vec::new(),
-        rounds: rounds.clone(),
-        total_bytes: total_bytes.round() as u64,
-        downtime,
-        vm_ram_mib,
+        outcome: end.outcome,
+        rounds: end.rounds.clone(),
+        total_bytes: end.total_bytes,
+        downtime: end.downtime,
+        vm_ram_mib: setup.vm_ram_mib,
         source_energy,
         target_energy,
-        idle_power_w,
-        outcome: if aborted {
-            MigrationOutcome::Aborted
-        } else {
-            MigrationOutcome::Completed
-        },
-        fault_events,
+        idle_power_w: setup.idle_power_w,
+        fault_events: end.fault_events,
         attempt: 0,
         retry_backoff: SimDuration::ZERO,
     };
 
     // Hand the warm buffers back so the next repetition reuses their
     // capacity (the tick loop's pushes then never touch the allocator).
-    arena.rounds = rounds;
-    arena.link_seen = link_window_seen;
+    arena.rounds = end.rounds;
+    arena.link_seen = end.link_seen;
     arena.src_slots = hsrc.slots;
     arena.dst_slots = hdst.slots;
     record

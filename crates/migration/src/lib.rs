@@ -51,6 +51,7 @@ pub mod config;
 pub mod record;
 pub mod simulation;
 pub mod sla;
+mod stages;
 
 pub use analytic::RunSlot;
 pub use config::{

@@ -84,6 +84,28 @@ pub struct RoleLedger {
 }
 
 impl RoleLedger {
+    /// Book the three phase windows `[ms, ts)`, `[ts, te)` and
+    /// `[te, me)`: the tail is activation on a completed run and rollback
+    /// on an aborted one.
+    pub fn from_windows(
+        initiation: TermEnergy,
+        transfer: TermEnergy,
+        tail: TermEnergy,
+        aborted: bool,
+    ) -> Self {
+        let (activation, rollback) = if aborted {
+            (TermEnergy::default(), tail)
+        } else {
+            (tail, TermEnergy::default())
+        };
+        RoleLedger {
+            initiation,
+            transfer,
+            activation,
+            rollback,
+        }
+    }
+
     /// Sum across phases and terms — the host's total migration energy.
     pub fn total_j(&self) -> f64 {
         self.initiation.total_j()

@@ -112,26 +112,43 @@ pub struct EnergyBreakdown {
 }
 
 impl EnergyBreakdown {
-    /// Integrate a measured power trace over the three phases.
-    pub fn from_trace(trace: &PowerTrace, phases: &PhaseTimes) -> Self {
+    /// Book the energies of the three phase windows `[ms, ts)`,
+    /// `[ts, te)` and `[te, me)`. On an *aborted* run (`te` = abort
+    /// instant) the tail holds teardown/rollback work, not a VM
+    /// activation, so it is attributed to `rollback_j` and `activation_j`
+    /// stays zero.
+    pub fn from_windows(initiation_j: f64, transfer_j: f64, tail_j: f64, aborted: bool) -> Self {
+        let (activation_j, rollback_j) = if aborted {
+            (0.0, tail_j)
+        } else {
+            (tail_j, 0.0)
+        };
         EnergyBreakdown {
-            initiation_j: trace.energy_between(phases.ms, phases.ts),
-            transfer_j: trace.energy_between(phases.ts, phases.te),
-            activation_j: trace.energy_between(phases.te, phases.me),
-            rollback_j: 0.0,
+            initiation_j,
+            transfer_j,
+            activation_j,
+            rollback_j,
         }
     }
 
-    /// Integrate an *aborted* run: the window after the abort instant
-    /// (`te` = abort) holds teardown/rollback work, not a VM activation,
-    /// so it is attributed to `rollback_j` and `activation_j` stays zero.
+    /// Integrate a measured power trace over the three phases.
+    pub fn from_trace(trace: &PowerTrace, phases: &PhaseTimes) -> Self {
+        Self::from_windows(
+            trace.energy_between(phases.ms, phases.ts),
+            trace.energy_between(phases.ts, phases.te),
+            trace.energy_between(phases.te, phases.me),
+            false,
+        )
+    }
+
+    /// Integrate an *aborted* run's trace (see [`Self::from_windows`]).
     pub fn from_trace_aborted(trace: &PowerTrace, phases: &PhaseTimes) -> Self {
-        EnergyBreakdown {
-            initiation_j: trace.energy_between(phases.ms, phases.ts),
-            transfer_j: trace.energy_between(phases.ts, phases.te),
-            activation_j: 0.0,
-            rollback_j: trace.energy_between(phases.te, phases.me),
-        }
+        Self::from_windows(
+            trace.energy_between(phases.ms, phases.ts),
+            trace.energy_between(phases.ts, phases.te),
+            trace.energy_between(phases.te, phases.me),
+            true,
+        )
     }
 
     /// `E_migr(h, v)` — the total migration energy (Eq. 4), including any

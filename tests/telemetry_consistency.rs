@@ -8,7 +8,7 @@ use wavm3::experiments::scenario::ExperimentFamily;
 use wavm3::experiments::Scenario;
 use wavm3::migration::MigrationKind;
 use wavm3::power::channels;
-use wavm3::simkit::RngFactory;
+use wavm3::simkit::{RngFactory, SimTime};
 
 #[test]
 fn telemetry_channels_mirror_feature_samples() {
@@ -76,9 +76,12 @@ fn telemetry_channels_mirror_feature_samples() {
     // And the meter traces share the same grid.
     assert_eq!(record.source_trace.len(), record.samples.len());
     assert_eq!(record.target_trace.len(), record.samples.len());
-    let grid = wavm3::simkit::PeriodicSchedule::two_hz();
     for (i, (t, _)) in record.source_trace.series.iter().enumerate() {
-        assert_eq!(t, grid.instant(i as u64), "meter off the 2 Hz grid at {i}");
+        assert_eq!(
+            t,
+            SimTime::from_millis(500 * i as u64),
+            "meter off the 2 Hz grid at {i}"
+        );
     }
 }
 
