@@ -29,12 +29,13 @@ pub fn readings_csv(dataset: &ExperimentDataset) -> String {
         "scenario,kind,rep,time_s,phase,cpu_source,cpu_target,cpu_vm,dirty_ratio,bandwidth_bps,power_source_w,power_target_w\n",
     );
     for runs in &dataset.runs {
+        let id = runs.scenario.id();
         for (rep, record) in runs.records.iter().enumerate() {
             for s in &record.samples {
                 let _ = writeln!(
                     out,
                     "{},{},{},{:.1},{},{:.4},{:.4},{:.4},{:.4},{:.0},{:.1},{:.1}",
-                    runs.scenario.id(),
+                    id,
                     record.kind.label(),
                     rep,
                     s.t.as_secs_f64(),
@@ -62,11 +63,12 @@ pub fn runs_csv(dataset: &ExperimentDataset) -> String {
         "scenario,kind,rep,transfer_s,downtime_s,total_bytes,precopy_rounds,e_source_j,e_target_j\n",
     );
     for runs in &dataset.runs {
+        let id = runs.scenario.id();
         for (rep, record) in runs.records.iter().enumerate() {
             let _ = writeln!(
                 out,
                 "{},{},{},{:.1},{:.2},{},{},{:.1},{:.1}",
-                runs.scenario.id(),
+                id,
                 record.kind.label(),
                 rep,
                 record.phases.transfer().as_secs_f64(),

@@ -382,13 +382,7 @@ pub fn compare(
 /// sibling keys (`profiling`, stamps) are ignored.
 pub fn snapshot_from_json(text: &str) -> Result<MetricsSnapshot, Wavm3Error> {
     use serde::{Deserialize as _, Value};
-    struct Raw(Value);
-    impl serde::Deserialize for Raw {
-        fn from_value(v: &Value) -> Result<Self, serde::Error> {
-            Ok(Raw(v.clone()))
-        }
-    }
-    let Raw(root) =
+    let root: Value =
         serde_json::from_str(text).map_err(|e| Wavm3Error::invalid_input("metrics JSON", e))?;
     let node = match root.get("metrics") {
         Some(nested) if nested.as_object().is_some() => nested,
@@ -402,13 +396,7 @@ pub fn snapshot_from_json(text: &str) -> Result<MetricsSnapshot, Wavm3Error> {
 /// without stamps yield `None`.
 pub fn baseline_stamps(text: &str) -> (Option<u64>, Option<usize>) {
     use serde::Value;
-    struct Raw(Value);
-    impl serde::Deserialize for Raw {
-        fn from_value(v: &Value) -> Result<Self, serde::Error> {
-            Ok(Raw(v.clone()))
-        }
-    }
-    let Ok(Raw(root)) = serde_json::from_str::<Raw>(text) else {
+    let Ok(root) = serde_json::from_str::<Value>(text) else {
         return (None, None);
     };
     let as_u64 = |v: &Value| match v {

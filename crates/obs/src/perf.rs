@@ -941,14 +941,7 @@ mod tests {
         let trace = chrome_trace(&report.perf);
         // Parse through the vendored serde's Value tree to prove the
         // exporter emits valid JSON.
-        use serde::Value;
-        struct Raw(Value);
-        impl serde::Deserialize for Raw {
-            fn from_value(v: &Value) -> Result<Self, serde::Error> {
-                Ok(Raw(v.clone()))
-            }
-        }
-        let Raw(parsed) = serde_json::from_str::<Raw>(&trace).expect("valid JSON");
+        let parsed = serde_json::from_str::<serde::Value>(&trace).expect("valid JSON");
         let events = parsed
             .get("traceEvents")
             .and_then(|v| v.as_array())

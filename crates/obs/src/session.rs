@@ -305,21 +305,26 @@ impl ObsReport {
 
     /// The JSON document written by [`ObsReport::write_metrics_json`].
     pub fn metrics_json(&self) -> String {
-        use serde::{Serialize, Value};
+        use serde::{JsonWriter, Serialize};
         // The metrics snapshot keeps its own serde schema (and round-trip);
         // the file adds the wall-clock profiling appendix alongside it.
-        struct Raw(Value);
-        impl Serialize for Raw {
-            fn to_value(&self) -> Value {
-                self.0.clone()
+        struct MetricsFile<'a>(&'a ObsReport);
+        impl Serialize for MetricsFile<'_> {
+            fn write_json(&self, w: &mut JsonWriter) {
+                let MetricsSnapshot {
+                    counters,
+                    gauges,
+                    histograms,
+                } = &self.0.metrics;
+                w.begin_object();
+                w.field("\"counters\":", counters);
+                w.field("\"gauges\":", gauges);
+                w.field("\"histograms\":", histograms);
+                w.field("\"profiling\":", &self.0.profiling);
+                w.end_object();
             }
         }
-        let mut root = match self.metrics.to_value() {
-            Value::Object(pairs) => pairs,
-            other => vec![("metrics".to_string(), other)],
-        };
-        root.push(("profiling".to_string(), self.profiling.to_value()));
-        serde_json::to_string(&Raw(Value::Object(root))).expect("metrics snapshot serialises")
+        serde_json::to_string(&MetricsFile(self)).expect("metrics snapshot serialises")
     }
 }
 
